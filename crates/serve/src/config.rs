@@ -21,7 +21,8 @@ pub struct ServeConfig {
     /// Episode-length cap per request (`POSETRL_SERVE_STEPS`); requests
     /// asking for more are clamped, keeping budgets deterministic.
     pub max_steps: u64,
-    /// Per-worker admission queue depth (`POSETRL_SERVE_QUEUE`); a full
+    /// Admission queue slots per worker (`POSETRL_SERVE_QUEUE`). All
+    /// workers share one queue of `workers × queue_depth` jobs; a full
     /// queue rejects with an `overloaded` error instead of blocking.
     pub queue_depth: usize,
     /// Content-addressed response store capacity, entries

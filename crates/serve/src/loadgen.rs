@@ -85,6 +85,9 @@ pub struct PhaseReport {
     pub throughput_rps: f64,
     /// Response-store hit rate within the phase.
     pub store_hit_rate: f64,
+    /// Share of the phase's store lookups answered by the raw-bytes tier
+    /// (a subset of `store_hit_rate`).
+    pub raw_hit_rate: f64,
     /// Eval-cache hit rate within the phase.
     pub cache_hit_rate: f64,
     /// Largest inference batch observed so far.
@@ -105,6 +108,7 @@ impl PhaseReport {
             "wall_ms": self.wall_ms,
             "throughput_rps": self.throughput_rps,
             "store_hit_rate": self.store_hit_rate,
+            "raw_hit_rate": self.raw_hit_rate,
             "cache_hit_rate": self.cache_hit_rate,
             "max_batch": self.max_batch,
         })
@@ -144,6 +148,7 @@ impl LoadReport {
             "shard_lookups": self.shard_lookups,
             "shard_balance": self.shard_balance,
             "store_hits": self.stats.store_hits,
+            "raw_hits": self.stats.raw_hits,
             "store_misses": self.stats.store_misses,
             "cache_hit_rate": self.stats.cache.hit_rate(),
             "batches": self.stats.batch.batches,
@@ -222,6 +227,13 @@ fn run_phase(server: &Server, corpus: &[(String, String)], spec: PhaseSpec) -> P
     let requests = lat.len() as u64;
     let store_delta_hits = after.store_hits - before.store_hits;
     let store_delta_total = store_delta_hits + (after.store_misses - before.store_misses);
+    let rate = |hits: u64, total: u64| {
+        if total == 0 {
+            0.0
+        } else {
+            hits as f64 / total as f64
+        }
+    };
     let cache_delta_hits = after.cache.total_hits() - before.cache.total_hits();
     let cache_delta_total =
         cache_delta_hits + (after.cache.total_misses() - before.cache.total_misses());
@@ -239,16 +251,9 @@ fn run_phase(server: &Server, corpus: &[(String, String)], spec: PhaseSpec) -> P
         } else {
             0.0
         },
-        store_hit_rate: if store_delta_total == 0 {
-            0.0
-        } else {
-            store_delta_hits as f64 / store_delta_total as f64
-        },
-        cache_hit_rate: if cache_delta_total == 0 {
-            0.0
-        } else {
-            cache_delta_hits as f64 / cache_delta_total as f64
-        },
+        store_hit_rate: rate(store_delta_hits, store_delta_total),
+        raw_hit_rate: rate(after.raw_hits - before.raw_hits, store_delta_total),
+        cache_hit_rate: rate(cache_delta_hits, cache_delta_total),
         max_batch: after.batch.max_batch,
     }
 }
@@ -359,7 +364,7 @@ pub fn servestats() -> Result<(String, Value), posetrl_analyze::EnvParseError> {
     ));
     for p in &report.phases {
         text.push_str(&format!(
-            "  {:>6}: {:>3} clients {:>5} req p50 {:>7}us p99 {:>7}us {:>8.1} rps store-hit {:.2} cache-hit {:.2}\n",
+            "  {:>6}: {:>3} clients {:>5} req p50 {:>7}us p99 {:>7}us {:>8.1} rps store-hit {:.2} (raw {:.2}) cache-hit {:.2}\n",
             p.name,
             p.clients,
             p.requests,
@@ -367,6 +372,7 @@ pub fn servestats() -> Result<(String, Value), posetrl_analyze::EnvParseError> {
             p.p99_us,
             p.throughput_rps,
             p.store_hit_rate,
+            p.raw_hit_rate,
             p.cache_hit_rate
         ));
     }

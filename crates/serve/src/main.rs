@@ -4,7 +4,7 @@
 //! posetrl-serve --stdio [--train quick|standard] [--model FILE] [--save-model FILE]
 //!               [--sanitize off|verify|validate|full] [--socket PATH]
 //! posetrl-serve --emit-corpus N
-//! posetrl-serve --check FILE --expect N [--digest]
+//! posetrl-serve --check FILE --expect N [--digest] [--cached-repeats]
 //! ```
 //!
 //! Modes:
@@ -18,7 +18,9 @@
 //!   response `ok`, and re-verify every returned module (sanitizer level
 //!   `verify` semantics: IR verifier + dataflow lints). `--digest` prints
 //!   a hash of the response modules so two runs can be compared for the
-//!   bit-identical contract.
+//!   bit-identical contract. `--cached-repeats` also requires every
+//!   response whose id answered an earlier line to be a store hit
+//!   (`cached: true`) carrying the same module as that first answer.
 //!
 //! Exit codes follow the shared scheme (`posetrl_analyze::exit_codes`):
 //! 0 = every response ok / every check passed, 1 = findings (error
@@ -33,6 +35,7 @@ use posetrl_serve::protocol::{parse_response, Request, Response};
 use posetrl_serve::server::{run_stdio, Server};
 use posetrl_serve::ServeConfig;
 use posetrl_target::TargetArch;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Args {
@@ -46,6 +49,7 @@ struct Args {
     check: Option<String>,
     expect: Option<usize>,
     digest: bool,
+    cached_repeats: bool,
 }
 
 fn usage() -> ! {
@@ -54,7 +58,7 @@ fn usage() -> ! {
     );
     eprintln!("                     [--sanitize off|verify|validate|full] [--socket PATH]");
     eprintln!("       posetrl-serve --emit-corpus N");
-    eprintln!("       posetrl-serve --check FILE --expect N [--digest]");
+    eprintln!("       posetrl-serve --check FILE --expect N [--digest] [--cached-repeats]");
     std::process::exit(USAGE);
 }
 
@@ -70,6 +74,7 @@ fn parse_args() -> Args {
         check: None,
         expect: None,
         digest: false,
+        cached_repeats: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -108,6 +113,7 @@ fn parse_args() -> Args {
                 }));
             }
             "--digest" => args.digest = true,
+            "--cached-repeats" => args.cached_repeats = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag '{other}'");
@@ -126,7 +132,7 @@ fn main() {
         std::process::exit(CLEAN);
     }
     if let Some(path) = &args.check {
-        std::process::exit(check(path, args.expect, args.digest));
+        std::process::exit(check(path, args.expect, args.digest, args.cached_repeats));
     }
     if !args.stdio && args.socket.is_none() && args.save_model.is_none() {
         usage();
@@ -192,8 +198,7 @@ fn main() {
 
 fn run_stdio_and_exit(server: &Server) -> ! {
     let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match run_stdio(server, stdin.lock(), stdout.lock()) {
+    match run_stdio(server, stdin.lock(), std::io::stdout()) {
         Ok(summary) => {
             eprintln!(
                 "[posetrl-serve] session done: {} requests, {} ok, {} errors",
@@ -265,7 +270,7 @@ fn modules_digest(modules: &[String]) -> u64 {
     h
 }
 
-fn check(path: &str, expect: Option<usize>, digest: bool) -> i32 {
+fn check(path: &str, expect: Option<usize>, digest: bool, cached_repeats: bool) -> i32 {
     let content = match std::fs::read_to_string(path) {
         Ok(c) => c,
         Err(e) => {
@@ -276,6 +281,7 @@ fn check(path: &str, expect: Option<usize>, digest: bool) -> i32 {
     let mut findings = 0usize;
     let mut seen = 0usize;
     let mut modules = Vec::new();
+    let mut first_answers: HashMap<String, String> = HashMap::new();
     for (lineno, line) in content.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -330,6 +336,23 @@ fn check(path: &str, expect: Option<usize>, digest: bool) -> i32 {
                     );
                     findings += 1;
                     continue;
+                }
+                if cached_repeats {
+                    match first_answers.get(&ok.id) {
+                        Some(first) if !ok.cached || *first != ok.module => {
+                            eprintln!(
+                                "{path}:{}: repeat of id {:?} is not a store hit of its first answer",
+                                lineno + 1,
+                                ok.id
+                            );
+                            findings += 1;
+                            continue;
+                        }
+                        Some(_) => {}
+                        None => {
+                            first_answers.insert(ok.id.clone(), ok.module.clone());
+                        }
+                    }
                 }
                 modules.push(ok.module);
             }

@@ -3,22 +3,26 @@
 //! Architecture (DESIGN.md §12):
 //!
 //! - **Sharded cache + worker pool.** One [`EvalCache`] with as many
-//!   shards as workers; a request's module routes to worker
-//!   `cache.shard_of(module_hash)`, so each worker's step memos,
-//!   measurements, and embeddings land in "its" shard and shard balance
-//!   is observable per request stream.
+//!   shards as workers. The cache routes every key to its shard by
+//!   content, whichever thread asks, so any worker can run any job and
+//!   a response's `shard` is still `cache.shard_of(module_hash)`.
 //! - **Batched inference.** Workers block in the shared [`Batcher`] at
 //!   every decision point; concurrent requests ride one network sweep.
 //!   Batched decisions are bit-identical to solo ones, so responses are
 //!   bit-identical for any worker count, batch timing, or queue order.
-//! - **Admission control.** Each worker has a bounded queue; a full queue
-//!   answers `overloaded` immediately instead of building unbounded
-//!   backlog. Budgets (module bytes, episode steps) are deterministic
-//!   request properties, never wall-clock, so a given request stream
-//!   always produces the same accepted/rejected partition.
-//! - **Content-addressed response store.** Results are memoized by
+//! - **Admission control.** All workers take jobs from one bounded
+//!   queue of `workers × queue_depth` slots, so a miss waits only while
+//!   every worker is busy; a full queue answers `overloaded` immediately
+//!   instead of building unbounded backlog. Budgets (module bytes,
+//!   episode steps) are deterministic request properties, never
+//!   wall-clock, so a given request stream always produces the same
+//!   accepted/rejected partition.
+//! - **Two-tier response store.** Results are memoized by
 //!   `(module_hash, arch, steps)`; a repeated module is a pure store hit
-//!   that touches neither the worker pool nor the network.
+//!   that touches neither the worker pool nor the network. In front of
+//!   it, a raw tier maps the exact request bytes (with arch and steps)
+//!   that once hit a stored key to that key, so an identical repeat
+//!   skips parse, verify and `module_hash` as well.
 
 use crate::batcher::{BatchStats, Batcher};
 use crate::config::ServeConfig;
@@ -32,10 +36,11 @@ use posetrl_ir::printer::print_module;
 use posetrl_ir::{module_hash, Module, ModuleHash};
 use posetrl_target::{mca, size::object_size, TargetArch};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash, RandomState};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -53,10 +58,96 @@ struct StoredResult {
     shard: u64,
 }
 
+impl StoredResult {
+    fn response(&self, id: String, start: Instant, cached: bool, batch: u64) -> Response {
+        Response::Ok(OkResponse {
+            id,
+            module: (*self.module).clone(),
+            actions: (*self.actions).clone(),
+            size_before: self.size_before,
+            size_after: self.size_after,
+            cycles_before: self.cycles_before,
+            cycles_after: self.cycles_after,
+            wall_us: start.elapsed().as_micros() as u64,
+            cached,
+            shard: self.shard,
+            batch,
+        })
+    }
+}
+
+/// Request bytes that parsed, verified and hashed to a stored key.
+struct RawEntry {
+    text: Box<str>,
+    key: StoreKey,
+}
+
+/// A map that evicts its oldest keys to stay within a capacity.
+struct FifoMap<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+}
+
+impl<K, V> Default for FifoMap<K, V> {
+    fn default() -> Self {
+        FifoMap {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Copy, V> FifoMap<K, V> {
+    fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    /// Replaces the value of a present key in place; a new key evicts
+    /// the oldest ones while the map is at `capacity`.
+    fn insert(&mut self, key: K, value: V, capacity: usize) {
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = value;
+            return;
+        }
+        while self.map.len() >= capacity {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&old);
+        }
+        self.order.push_back(key);
+        self.map.insert(key, value);
+    }
+}
+
+/// The response store: canonical results by `(module_hash, arch, steps)`
+/// and, in front of them, a raw tier from a digest of the exact request
+/// bytes to the canonical key they hashed to. Both tiers are bounded by
+/// the store capacity.
 #[derive(Default)]
 struct Store {
-    map: HashMap<StoreKey, StoredResult>,
-    fifo: VecDeque<StoreKey>,
+    results: FifoMap<StoreKey, StoredResult>,
+    raw: FifoMap<u64, RawEntry>,
+}
+
+impl Store {
+    /// The stored result for exactly `text` at `(arch, steps)`. Compares
+    /// the full bytes, so a digest collision is a miss, and answers only
+    /// while the canonical entry is still stored.
+    fn raw_get(
+        &self,
+        digest: u64,
+        text: &str,
+        arch: TargetArch,
+        steps: u64,
+    ) -> Option<StoredResult> {
+        let entry = self.raw.get(&digest)?;
+        let (_, a, s) = entry.key;
+        if a != arch || s != steps || *entry.text != *text {
+            return None;
+        }
+        self.results.get(&entry.key).cloned()
+    }
 }
 
 struct Job {
@@ -77,7 +168,11 @@ struct Inner {
     sanitizer: Option<Arc<Sanitizer>>,
     batcher: Batcher,
     store: Mutex<Store>,
+    /// Randomly keyed, so request bytes cannot be crafted to collide in
+    /// the raw tier.
+    raw_keys: RandomState,
     store_hits: AtomicU64,
+    raw_hits: AtomicU64,
     store_misses: AtomicU64,
     requests: AtomicU64,
     ok: AtomicU64,
@@ -98,6 +193,9 @@ pub struct ServerStats {
     pub overloads: u64,
     /// Content-addressed response-store hits.
     pub store_hits: u64,
+    /// Subset of `store_hits` answered by the raw-bytes tier, without
+    /// parsing, verifying or hashing the module.
+    pub raw_hits: u64,
     /// Response-store misses (full rollouts).
     pub store_misses: u64,
     /// Aggregate eval-cache counters.
@@ -132,12 +230,21 @@ impl Pending {
             .recv()
             .unwrap_or_else(|_| Response::err(None, ErrorKind::Internal, "worker disconnected"))
     }
+
+    /// The response if it is ready now, else the still-pending request.
+    fn ready(self) -> Result<Response, Pending> {
+        match self.rx.try_recv() {
+            Ok(resp) => Ok(resp),
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(self.wait()),
+        }
+    }
 }
 
 /// The server: worker pool + batcher + caches behind a line-oriented API.
 pub struct Server {
     inner: Arc<Inner>,
-    queues: Vec<SyncSender<Job>>,
+    queue: SyncSender<Job>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -185,35 +292,39 @@ impl Server {
             sanitizer,
             batcher,
             store: Mutex::new(Store::default()),
+            raw_keys: RandomState::new(),
             store_hits: AtomicU64::new(0),
+            raw_hits: AtomicU64::new(0),
             store_misses: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             ok: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             overloads: AtomicU64::new(0),
         });
-        let mut queues = Vec::with_capacity(cfg.workers);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for w in 0..cfg.workers {
-            let (tx, rx) = sync_channel::<Job>(cfg.queue_depth);
-            let inner = Arc::clone(&inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("posetrl-serve-worker-{w}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
+        let (queue, rx) = sync_channel::<Job>(cfg.workers * cfg.queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..cfg.workers)
+            .map(|w| {
+                let inner = Arc::clone(&inner);
+                let rx = Arc::clone(&rx);
+                std::thread::Builder::new()
+                    .name(format!("posetrl-serve-worker-{w}"))
+                    .spawn(move || loop {
+                        // the lock is held only while waiting for the next job
+                        let Ok(job) = rx.lock().expect("job queue lock").recv() else {
+                            break;
+                        };
                         let reply = job.reply.clone();
                         let resp = process(&inner, job);
                         // receiver may have given up; dropping the response is fine
                         let _ = reply.try_send(resp);
-                    }
-                })
-                .expect("spawn worker thread");
-            queues.push(tx);
-            workers.push(handle);
-        }
+                    })
+                    .expect("spawn worker thread")
+            })
+            .collect();
         Server {
             inner,
-            queues,
+            queue,
             workers,
         }
     }
@@ -242,9 +353,10 @@ impl Server {
         self.submit(line).wait()
     }
 
-    /// Runs the request through parse → budgets → store → admission.
-    /// Returns `Some(response)` when it resolved synchronously, `None`
-    /// when a worker now owns the reply channel.
+    /// Runs the request through parse → budgets → raw store tier →
+    /// module checks → canonical store tier → admission. Returns
+    /// `Some(response)` when it resolved synchronously, `None` when a
+    /// worker now owns the reply channel.
     fn admit(&self, line: &str, reply: &SyncSender<Response>) -> Option<Response> {
         let inner = &self.inner;
         inner.requests.fetch_add(1, Ordering::Relaxed);
@@ -269,6 +381,26 @@ impl Server {
                 ),
             ));
         }
+        let steps = req
+            .max_steps
+            .unwrap_or(inner.cfg.max_steps)
+            .clamp(1, inner.cfg.max_steps);
+        // raw tier: these exact bytes already parsed, verified and hashed
+        // to a stored key, so the checks below would replay the same result
+        let digest = inner
+            .raw_keys
+            .hash_one((req.module.as_str(), req.arch, steps));
+        let raw_hit =
+            inner
+                .store
+                .lock()
+                .expect("store lock")
+                .raw_get(digest, &req.module, req.arch, steps);
+        if let Some(hit) = raw_hit {
+            inner.store_hits.fetch_add(1, Ordering::Relaxed);
+            inner.raw_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(hit.response(req.id, start, true, 0));
+        }
         let module = match parse_module(&req.module) {
             Ok(m) => m,
             Err(e) => {
@@ -286,35 +418,22 @@ impl Server {
                 format!("module does not verify: {e}"),
             ));
         }
-        let steps = req
-            .max_steps
-            .unwrap_or(inner.cfg.max_steps)
-            .clamp(1, inner.cfg.max_steps);
         let hash = module_hash(&module);
-        let shard = inner.cache.shard_of(hash);
-        // content-addressed store: a repeat is a pure hit
-        if let Some(hit) = inner
-            .store
-            .lock()
-            .expect("store lock")
-            .map
-            .get(&(hash, req.arch, steps))
+        let key = (hash, req.arch, steps);
+        // canonical tier: a repeat of the module in any formatting is a
+        // pure hit, and teaches the raw tier these bytes
         {
-            let hit = hit.clone();
-            inner.store_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Response::Ok(OkResponse {
-                id: req.id,
-                module: (*hit.module).clone(),
-                actions: (*hit.actions).clone(),
-                size_before: hit.size_before,
-                size_after: hit.size_after,
-                cycles_before: hit.cycles_before,
-                cycles_after: hit.cycles_after,
-                wall_us: start.elapsed().as_micros() as u64,
-                cached: true,
-                shard: hit.shard,
-                batch: 0,
-            }));
+            let mut store = inner.store.lock().expect("store lock");
+            if let Some(hit) = store.results.get(&key).cloned() {
+                let entry = RawEntry {
+                    text: req.module.into_boxed_str(),
+                    key,
+                };
+                store.raw.insert(digest, entry, inner.cfg.store_capacity);
+                drop(store);
+                inner.store_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(hit.response(req.id, start, true, 0));
+            }
         }
         inner.store_misses.fetch_add(1, Ordering::Relaxed);
         let job = Job {
@@ -323,20 +442,20 @@ impl Server {
             hash,
             arch: req.arch,
             steps,
-            shard,
+            shard: inner.cache.shard_of(hash),
             reply: reply.clone(),
             start,
         };
-        match self.queues[shard % self.queues.len()].try_send(job) {
+        match self.queue.try_send(job) {
             Ok(()) => None,
             Err(TrySendError::Full(job)) => {
-                self.inner.overloads.fetch_add(1, Ordering::Relaxed);
+                inner.overloads.fetch_add(1, Ordering::Relaxed);
                 Some(Response::err(
                     Some(job.id),
                     ErrorKind::Overloaded,
                     format!(
-                        "worker {} queue is full ({} deep; POSETRL_SERVE_QUEUE)",
-                        job.shard, self.inner.cfg.queue_depth
+                        "job queue is full ({} workers × {} deep; POSETRL_SERVE_QUEUE)",
+                        inner.cfg.workers, inner.cfg.queue_depth
                     ),
                 ))
             }
@@ -365,6 +484,7 @@ impl Server {
             errors: i.errors.load(Ordering::Relaxed),
             overloads: i.overloads.load(Ordering::Relaxed),
             store_hits: i.store_hits.load(Ordering::Relaxed),
+            raw_hits: i.raw_hits.load(Ordering::Relaxed),
             store_misses: i.store_misses.load(Ordering::Relaxed),
             cache: i.cache.stats(),
             shards: i.cache.shard_stats(),
@@ -375,7 +495,8 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.queues.clear(); // close the channels so workers drain and exit
+        // close the queue so the workers drain it and exit
+        drop(std::mem::replace(&mut self.queue, sync_channel(0).0));
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -457,33 +578,15 @@ fn process(inner: &Arc<Inner>, job: Job) -> Response {
             {
                 let mut store = inner.store.lock().expect("store lock");
                 let key = (job.hash, job.arch, job.steps);
-                if !store.map.contains_key(&key) {
-                    while store.map.len() >= inner.cfg.store_capacity {
-                        match store.fifo.pop_front() {
-                            Some(old) => {
-                                store.map.remove(&old);
-                            }
-                            None => break,
-                        }
-                    }
-                    store.fifo.push_back(key);
-                    store.map.insert(key, stored.clone());
+                // first write wins
+                if store.results.get(&key).is_none() {
+                    store
+                        .results
+                        .insert(key, stored.clone(), inner.cfg.store_capacity);
                 }
             }
             inner.ok.fetch_add(1, Ordering::Relaxed);
-            Response::Ok(OkResponse {
-                id: job.id,
-                module: (*stored.module).clone(),
-                actions: (*stored.actions).clone(),
-                size_before: stored.size_before,
-                size_after: stored.size_after,
-                cycles_before: stored.cycles_before,
-                cycles_after: stored.cycles_after,
-                wall_us: job.start.elapsed().as_micros() as u64,
-                cached: false,
-                shard: stored.shard,
-                batch: out.max_batch,
-            })
+            stored.response(job.id, job.start, false, out.max_batch)
         }
         Err(panic) => {
             inner.errors.fetch_add(1, Ordering::Relaxed);
@@ -512,10 +615,29 @@ pub struct StdioSummary {
     pub errors: u64,
 }
 
+fn write_response(
+    output: &mut impl Write,
+    resp: &Response,
+    summary: &mut StdioSummary,
+) -> std::io::Result<()> {
+    if resp.is_ok() {
+        summary.ok += 1;
+    } else {
+        summary.errors += 1;
+    }
+    let mut line = resp.to_json();
+    line.push('\n');
+    output.write_all(line.as_bytes())?;
+    output.flush()
+}
+
 /// Drives the server from a line-oriented transport: one request per
 /// input line, one response per output line, **in request order**. Up to
 /// `workers × queue_depth` requests are kept in flight, so concurrent
-/// batching still happens behind the ordered output.
+/// batching still happens behind the ordered output. Once a request is
+/// in flight, a writer thread sends each response as soon as it and
+/// every earlier one are done, so a client may wait for an answer before
+/// sending its next request.
 ///
 /// # Errors
 ///
@@ -524,43 +646,73 @@ pub struct StdioSummary {
 pub fn run_stdio(
     server: &Server,
     input: impl BufRead,
-    mut output: impl Write,
+    mut output: impl Write + Send,
 ) -> std::io::Result<StdioSummary> {
-    let window = server.inner.cfg.workers * server.inner.cfg.queue_depth;
-    let mut in_flight: VecDeque<Pending> = VecDeque::new();
-    let mut summary = StdioSummary::default();
-    let drain_one = |q: &mut VecDeque<Pending>,
-                     out: &mut dyn Write,
-                     s: &mut StdioSummary|
-     -> std::io::Result<()> {
-        if let Some(p) = q.pop_front() {
-            let resp = p.wait();
-            if resp.is_ok() {
-                s.ok += 1;
-            } else {
-                s.errors += 1;
-            }
-            out.write_all(resp.to_json().as_bytes())?;
-            out.write_all(b"\n")?;
-            out.flush()?;
-        }
-        Ok(())
-    };
-    for line in input.lines() {
+    let mut read = StdioSummary::default();
+    let mut lines = input
+        .lines()
+        .filter(|l| !matches!(l, Ok(l) if l.trim().is_empty()));
+    // answers that resolve at admission (store hits, rejections) go out
+    // inline until the first request has to wait for a worker
+    let first_in_flight = loop {
+        let Some(line) = lines.next() else {
+            return Ok(read);
+        };
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
+        read.requests += 1;
+        match server.submit(&line).ready() {
+            Ok(resp) => write_response(&mut output, &resp, &mut read)?,
+            Err(pending) => break pending,
         }
-        summary.requests += 1;
-        if in_flight.len() >= window.max(1) {
-            drain_one(&mut in_flight, &mut output, &mut summary)?;
+    };
+    let window = server.inner.cfg.workers * server.inner.cfg.queue_depth;
+    // one credit per in-flight request; the writer returns it once the
+    // response is written, and drops them all if it fails
+    let (credit_tx, credit_rx) = sync_channel::<()>(window);
+    for _ in 1..window {
+        credit_tx.send(()).expect("credit channel has room");
+    }
+    let (pending_tx, pending_rx) = channel::<Pending>();
+    pending_tx
+        .send(first_in_flight)
+        .expect("the writer has not started yet");
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(move || -> std::io::Result<StdioSummary> {
+            let mut written = StdioSummary::default();
+            for p in pending_rx {
+                write_response(&mut output, &p.wait(), &mut written)?;
+                let _ = credit_tx.send(());
+            }
+            Ok(written)
+        });
+        let mut failed = None;
+        for line in lines {
+            let line = match line {
+                Ok(line) => line,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
+                }
+            };
+            if credit_rx.recv().is_err() {
+                break;
+            }
+            read.requests += 1;
+            if pending_tx.send(server.submit(&line)).is_err() {
+                break;
+            }
         }
-        in_flight.push_back(server.submit(&line));
-    }
-    while !in_flight.is_empty() {
-        drain_one(&mut in_flight, &mut output, &mut summary)?;
-    }
-    Ok(summary)
+        drop(pending_tx);
+        let written = writer.join().expect("stdio writer thread")?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        Ok(StdioSummary {
+            requests: read.requests,
+            ok: read.ok + written.ok,
+            errors: read.errors + written.errors,
+        })
+    })
 }
 
 /// Serves JSONL sessions over a Unix domain socket, one thread per
