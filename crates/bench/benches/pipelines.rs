@@ -52,10 +52,31 @@ fn bench_hot_passes(c: &mut Criterion) {
     }
 }
 
+/// Passes on the module as generated, before `mem2reg`: the shape a
+/// rollout's first steps see, where every local still lives in an alloca.
+fn bench_raw_passes(c: &mut Criterion) {
+    let m = bench_module(10);
+    let pm = PassManager::new();
+    for (id, pass) in [
+        ("functionattrs_raw_medium", "functionattrs"),
+        ("ipsccp_medium", "ipsccp"),
+        ("dse_raw_medium", "dse"),
+    ] {
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let mut m2 = m.clone();
+                pm.run_pass(&mut m2, pass).unwrap();
+                black_box(m2.num_insts())
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_oz_pipeline,
     bench_o3_pipeline,
-    bench_hot_passes
+    bench_hot_passes,
+    bench_raw_passes
 );
 criterion_main!(benches);

@@ -8,13 +8,15 @@
 //! mini-IR:
 //!
 //! - [`Vocabulary`] deterministically derives a unit vector per entity
-//!   token (seeded, so embeddings are reproducible),
-//! - [`Embedder::embed_inst_symbolic`] combines opcode/type/operand vectors
-//!   with the paper's 1.0 / 0.5 / 0.2 weights,
+//!   token (seeded, so embeddings are reproducible); each [`Embedder`]
+//!   builds the vectors of every opcode, type, operand-kind and
+//!   successor-count token once, pre-scaled by the paper's 1.0 / 0.5 / 0.2
+//!   entity weights,
 //! - a configurable number of flow iterations mixes in the embeddings of
 //!   reaching definitions (use-def flow),
-//! - [`Embedder::embed_module`] sums to program level and scales by
-//!   `1/sqrt(n)` so state magnitudes stay bounded for the DQN.
+//! - [`Embedder::embed_module`] sums to program level under a fixed scale
+//!   and log-compresses the norm, so state magnitudes stay bounded for the
+//!   DQN.
 //!
 //! # Example
 //!
@@ -35,10 +37,9 @@
 //! assert_eq!(v.len(), posetrl_embed::DIM);
 //! ```
 
-use posetrl_ir::{Function, InstId, Module, Ty, Value};
+use posetrl_ir::{BinOp, CastKind, Function, Module, Op, Ty, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// Embedding dimensionality (the paper uses IR2Vec's 300-d program level).
 pub const DIM: usize = 300;
@@ -49,30 +50,24 @@ pub const W_OPCODE: f64 = 1.0;
 pub const W_TYPE: f64 = 0.5;
 /// Weight of each operand entity (IR2Vec's `Wa`).
 pub const W_OPERAND: f64 = 0.2;
+/// Weight of each global-variable entity in the program vector.
+const W_GLOBAL: f64 = 0.5;
 
 /// A deterministic seed vocabulary: token → unit vector.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Vocabulary {
     dim: usize,
     seed: u64,
-    cache: Mutex<HashMap<String, Vec<f64>>>,
 }
 
 impl Vocabulary {
     /// Creates a vocabulary with the given dimensionality and seed.
     pub fn new(dim: usize, seed: u64) -> Vocabulary {
-        Vocabulary {
-            dim,
-            seed,
-            cache: Mutex::new(HashMap::new()),
-        }
+        Vocabulary { dim, seed }
     }
 
-    /// The vector for `token` (cached; deterministic across runs).
+    /// The vector for `token` (deterministic across runs and instances).
     pub fn vector(&self, token: &str) -> Vec<f64> {
-        if let Some(v) = self.cache.lock().unwrap().get(token) {
-            return v.clone();
-        }
         let mut state = self.seed ^ fnv1a(token);
         let mut v = Vec::with_capacity(self.dim);
         for _ in 0..self.dim {
@@ -85,10 +80,6 @@ impl Vocabulary {
         for x in &mut v {
             *x /= norm;
         }
-        self.cache
-            .lock()
-            .unwrap()
-            .insert(token.to_string(), v.clone());
         v
     }
 }
@@ -148,11 +139,165 @@ impl Default for EmbedConfig {
     }
 }
 
-/// The embedder: vocabulary + combination rules.
+/// Every type, in `Ty` declaration order (`ty as usize` is its row).
+const TYPES: [Ty; 7] = [Ty::Void, Ty::I1, Ty::I8, Ty::I32, Ty::I64, Ty::F64, Ty::Ptr];
+
+/// Every cast, in `CastKind` declaration order.
+const CASTS: [CastKind; 5] = [
+    CastKind::Trunc,
+    CastKind::ZExt,
+    CastKind::SExt,
+    CastKind::SiToFp,
+    CastKind::FpToSi,
+];
+
+/// The op kinds after the binary ops and casts, in [`opcode_row`] order.
+const OTHER_OPCODES: [&str; 15] = [
+    "icmp",
+    "fcmp",
+    "select",
+    "alloca",
+    "load",
+    "store",
+    "gep",
+    "call",
+    "phi",
+    "memcpy",
+    "memset",
+    "br",
+    "condbr",
+    "ret",
+    "unreachable",
+];
+
+/// Operand-kind tokens, in [`operand_row`] order.
+const OPERAND_TOKENS: [&str; 7] = [
+    "operand.inst",
+    "operand.arg",
+    "operand.const.fp",
+    "operand.const.ptr",
+    "operand.const.int",
+    "operand.global",
+    "operand.func",
+];
+
+/// The most successors any terminator has (`condbr`).
+const MAX_SUCCS: usize = 2;
+
+/// The opcode-table row of `op`: binary ops first, then casts, then
+/// [`OTHER_OPCODES`].
+fn opcode_row(op: &Op) -> usize {
+    const CAST: usize = BinOp::ALL.len();
+    const REST: usize = CAST + CASTS.len();
+    match op {
+        Op::Bin { op, .. } => *op as usize,
+        Op::Cast { kind, .. } => CAST + *kind as usize,
+        Op::Icmp { .. } => REST,
+        Op::Fcmp { .. } => REST + 1,
+        Op::Select { .. } => REST + 2,
+        Op::Alloca { .. } => REST + 3,
+        Op::Load { .. } => REST + 4,
+        Op::Store { .. } => REST + 5,
+        Op::Gep { .. } => REST + 6,
+        Op::Call { .. } => REST + 7,
+        Op::Phi { .. } => REST + 8,
+        Op::MemCpy { .. } => REST + 9,
+        Op::MemSet { .. } => REST + 10,
+        Op::Br { .. } => REST + 11,
+        Op::CondBr { .. } => REST + 12,
+        Op::Ret { .. } => REST + 13,
+        Op::Unreachable => REST + 14,
+    }
+}
+
+fn operand_row(v: Value) -> usize {
+    match v {
+        Value::Inst(_) => 0,
+        Value::Arg(_) => 1,
+        Value::Const(c) => match c.ty() {
+            Ty::F64 => 2,
+            Ty::Ptr => 3,
+            _ => 4,
+        },
+        Value::Global(_) => 5,
+        Value::Func(_) => 6,
+    }
+}
+
+/// Rows of `dim` floats, one per token, each pre-scaled by its entity
+/// weight (`w * x` rounds exactly as the weighted accumulation always did).
+#[derive(Debug)]
+struct Table {
+    dim: usize,
+    data: Vec<f64>,
+}
+
+impl Table {
+    fn new<'a>(
+        vocab: &Vocabulary,
+        weight: f64,
+        tokens: impl IntoIterator<Item = &'a str>,
+    ) -> Table {
+        let mut data = Vec::new();
+        for token in tokens {
+            data.extend(vocab.vector(token).iter().map(|x| weight * x));
+        }
+        Table {
+            dim: vocab.dim,
+            data,
+        }
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.dim..(i + 1) * self.dim]
+    }
+}
+
+/// The vectors of every token an instruction or global can name, built
+/// once per [`Embedder`]. Only `decl.<name>` tokens are made on demand.
+#[derive(Debug)]
+struct Tokens {
+    opcode: Table,
+    ty: Table,
+    operand: Table,
+    /// Row `k - 1` is the token of a terminator with `k` successors.
+    succ: Table,
+    /// Row `2 * (ty as usize) + mutable as usize`.
+    global: Table,
+}
+
+impl Tokens {
+    fn new(vocab: &Vocabulary) -> Tokens {
+        let opcodes: Vec<String> = BinOp::ALL
+            .iter()
+            .map(|b| b.mnemonic())
+            .chain(CASTS.iter().map(|c| c.mnemonic()))
+            .chain(OTHER_OPCODES)
+            .map(|name| format!("opcode.{name}"))
+            .collect();
+        let types: Vec<String> = TYPES.iter().map(|t| format!("type.{t}")).collect();
+        let succs: Vec<String> = (1..=MAX_SUCCS).map(|k| format!("cfg.succ{k}")).collect();
+        let globals: Vec<String> = TYPES
+            .iter()
+            .flat_map(|t| [format!("global.{t}.const"), format!("global.{t}.mut")])
+            .collect();
+        Tokens {
+            opcode: Table::new(vocab, W_OPCODE, opcodes.iter().map(String::as_str)),
+            ty: Table::new(vocab, W_TYPE, types.iter().map(String::as_str)),
+            operand: Table::new(vocab, W_OPERAND, OPERAND_TOKENS),
+            succ: Table::new(vocab, W_OPERAND, succs.iter().map(String::as_str)),
+            global: Table::new(vocab, W_GLOBAL, globals.iter().map(String::as_str)),
+        }
+    }
+}
+
+/// The embedder: vocabulary + combination rules. Holds no lock: the token
+/// vectors are built in [`Embedder::new`] and only read afterwards.
 #[derive(Debug)]
 pub struct Embedder {
     config: EmbedConfig,
     vocab: Vocabulary,
+    tokens: Tokens,
 }
 
 impl Default for Embedder {
@@ -165,7 +310,12 @@ impl Embedder {
     /// Creates an embedder from a configuration.
     pub fn new(config: EmbedConfig) -> Embedder {
         let vocab = Vocabulary::new(config.dim, config.seed);
-        Embedder { config, vocab }
+        let tokens = Tokens::new(&vocab);
+        Embedder {
+            config,
+            vocab,
+            tokens,
+        }
     }
 
     /// The configured dimensionality.
@@ -178,102 +328,106 @@ impl Embedder {
         &self.config
     }
 
-    fn operand_token(v: Value) -> &'static str {
-        match v {
-            Value::Inst(_) => "operand.inst",
-            Value::Arg(_) => "operand.arg",
-            Value::Const(c) => match c.ty() {
-                Ty::F64 => "operand.const.fp",
-                Ty::Ptr => "operand.const.ptr",
-                _ => "operand.const.int",
-            },
-            Value::Global(_) => "operand.global",
-            Value::Func(_) => "operand.func",
-        }
-    }
-
-    /// The symbolic (pre-flow) embedding of one instruction.
-    pub fn embed_inst_symbolic(&self, f: &Function, id: InstId) -> Vec<f64> {
-        let op = f.op(id);
-        let mut v = vec![0.0; self.config.dim];
-        axpy(
-            &mut v,
-            W_OPCODE,
-            &self.vocab.vector(&format!("opcode.{}", op.kind_name())),
-        );
-        axpy(
-            &mut v,
-            W_TYPE,
-            &self.vocab.vector(&format!("type.{}", op.result_ty())),
-        );
-        for o in op.operands() {
-            axpy(
-                &mut v,
-                W_OPERAND,
-                &self.vocab.vector(Self::operand_token(o)),
-            );
-        }
-        // terminators with successors contribute control-flow tokens
-        let nsucc = op.successors().len();
-        if nsucc > 0 {
-            axpy(
-                &mut v,
-                W_OPERAND,
-                &self.vocab.vector(&format!("cfg.succ{nsucc}")),
-            );
-        }
-        v
-    }
-
-    /// Flow-aware instruction embeddings for a whole function.
-    pub fn embed_function_insts(&self, f: &Function) -> HashMap<InstId, Vec<f64>> {
-        let ids = f.inst_ids();
-        let mut cur: HashMap<InstId, Vec<f64>> = ids
-            .iter()
-            .map(|&id| (id, self.embed_inst_symbolic(f, id)))
-            .collect();
-        for _ in 0..self.config.flow_iters {
-            let mut next = HashMap::with_capacity(cur.len());
-            for &id in &ids {
-                let mut v = cur[&id].clone();
-                // mix in the reaching definitions (operand defs)
-                let defs: Vec<&Vec<f64>> = f
-                    .op(id)
-                    .operands()
-                    .iter()
-                    .filter_map(|o| match o {
-                        Value::Inst(d) => cur.get(d),
-                        _ => None,
-                    })
-                    .collect();
-                if !defs.is_empty() {
-                    let scale = self.config.flow_beta / defs.len() as f64;
-                    for d in defs {
-                        axpy(&mut v, scale, d);
-                    }
-                }
-                next.insert(id, v);
-            }
-            cur = next;
-        }
-        cur
-    }
-
-    /// Function-level embedding: the sum of its instruction embeddings.
+    /// Function-level embedding: the sum of its flow-aware instruction
+    /// embeddings.
+    ///
+    /// Each instruction starts from its opcode, type, operand and
+    /// successor-count vectors, added in that order; each flow iteration
+    /// then adds `flow_beta / k` times each of its `k` in-function operand
+    /// definitions from the previous iteration, in operand order. The
+    /// function vector adds the rows up in block-order traversal (the
+    /// printer's order), not by raw InstId: float addition is not
+    /// associative, and arena numbering differs between modules that print
+    /// identically, so this is what makes the embedding a pure function of
+    /// the printed form (which the evaluation cache's bit-identical
+    /// contract relies on).
     pub fn embed_function(&self, f: &Function) -> Vec<f64> {
-        let mut v = vec![0.0; self.config.dim];
+        let dim = self.config.dim;
+        let mut v = vec![0.0; dim];
         if f.is_decl {
             axpy(&mut v, 1.0, &self.vocab.vector(&format!("decl.{}", f.name)));
             return v;
         }
-        // Accumulate in block-order traversal (the printer's order), not by
-        // raw InstId: float addition is not associative, and arena numbering
-        // differs between modules that print identically, so this is what
-        // makes the embedding a pure function of the printed form (which the
-        // evaluation cache's bit-identical contract relies on).
-        let embeddings = self.embed_function_insts(f);
-        for id in f.inst_ids() {
-            axpy(&mut v, 1.0, &embeddings[&id]);
+        let ids = f.inst_ids();
+        let n = ids.len();
+        // arena index -> row, for the operand definitions of the flow term
+        let mut row_of = vec![u32::MAX; ids.iter().map(|id| id.index() + 1).max().unwrap_or(0)];
+        for (i, id) in ids.iter().enumerate() {
+            row_of[id.index()] = i as u32;
+        }
+        let t = &self.tokens;
+        // symbolic rows; an instruction whose tokens repeat an earlier
+        // one's copies that row, since the same adds give the same bits
+        let mut cur: Vec<f64> = Vec::with_capacity(n * dim);
+        let mut first_row: HashMap<u64, usize> = HashMap::new();
+        // defs[def_end[i - 1]..def_end[i]] are the rows instruction i reads
+        let mut defs: Vec<u32> = Vec::new();
+        let mut def_end: Vec<usize> = Vec::with_capacity(n);
+        for (i, &id) in ids.iter().enumerate() {
+            let op = f.op(id);
+            let operands = op.operands();
+            for o in &operands {
+                if let Value::Inst(d) = o {
+                    match row_of.get(d.index()) {
+                        Some(&r) if r != u32::MAX => defs.push(r),
+                        _ => {}
+                    }
+                }
+            }
+            def_end.push(defs.len());
+            let nsucc = op.successors().len();
+            let key = token_key(op, &operands, nsucc);
+            if let Some(&r) = key.and_then(|k| first_row.get(&k)) {
+                cur.extend_from_within(r * dim..(r + 1) * dim);
+                continue;
+            }
+            cur.resize((i + 1) * dim, 0.0);
+            let out = &mut cur[i * dim..];
+            add(out, t.opcode.row(opcode_row(op)));
+            add(out, t.ty.row(op.result_ty() as usize));
+            for &o in &operands {
+                add(out, t.operand.row(operand_row(o)));
+            }
+            // terminators with successors contribute control-flow tokens
+            if nsucc > 0 {
+                add(out, t.succ.row(nsucc - 1));
+            }
+            if let Some(k) = key {
+                first_row.insert(k, i);
+            }
+        }
+        // flow iterations; the last one adds each row into `v` as it is
+        // made, in instruction order, instead of storing it
+        let iters = self.config.flow_iters;
+        let mut next = vec![0.0; if iters > 1 { n * dim } else { 0 }];
+        let mut last = vec![0.0; dim];
+        for iter in 0..iters {
+            let mut start = 0;
+            for (i, &end) in def_end.iter().enumerate() {
+                let out = if iter + 1 == iters {
+                    &mut last[..]
+                } else {
+                    &mut next[i * dim..(i + 1) * dim]
+                };
+                let scale = self.config.flow_beta / (end - start).max(1) as f64;
+                let row = |d: u32| &cur[d as usize * dim..(d as usize + 1) * dim];
+                flow_row(
+                    out,
+                    row(i as u32),
+                    scale,
+                    defs[start..end].iter().map(|&d| row(d)),
+                );
+                if iter + 1 == iters {
+                    axpy(&mut v, 1.0, out);
+                }
+                start = end;
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        if iters == 0 {
+            for row in cur.chunks_exact(dim) {
+                axpy(&mut v, 1.0, row);
+            }
         }
         v
     }
@@ -310,12 +464,12 @@ impl Embedder {
         }
         for gid in m.global_ids() {
             let g = m.global(gid).unwrap();
-            let token = format!(
-                "global.{}.{}",
-                g.ty,
-                if g.mutable { "mut" } else { "const" }
+            add(
+                &mut v,
+                self.tokens
+                    .global
+                    .row(2 * g.ty as usize + usize::from(g.mutable)),
             );
-            axpy(&mut v, 0.5, &self.vocab.vector(&token));
         }
         for x in &mut v {
             *x *= self.config.scale;
@@ -330,6 +484,58 @@ impl Embedder {
             }
         }
         v
+    }
+}
+
+/// A key shared by exactly the instructions whose symbolic rows add the
+/// same token rows in the same order; `None` past 16 operands.
+fn token_key(op: &Op, operands: &[Value], nsucc: usize) -> Option<u64> {
+    if operands.len() > 16 {
+        return None;
+    }
+    let mut key = opcode_row(op) as u64 | (op.result_ty() as u64) << 6 | (nsucc as u64) << 9;
+    for (k, &o) in operands.iter().enumerate() {
+        key |= (operand_row(o) as u64 + 1) << (11 + 3 * k);
+    }
+    Some(key)
+}
+
+/// `out = own`, then `out += scale * d` for each definition row `d` in
+/// order, element by element; one pass over the rows when there are at
+/// most two definitions.
+fn flow_row<'a>(
+    out: &mut [f64],
+    own: &[f64],
+    scale: f64,
+    mut defs: impl ExactSizeIterator<Item = &'a [f64]>,
+) {
+    match defs.len() {
+        0 => out.copy_from_slice(own),
+        1 => {
+            let d = defs.next().unwrap();
+            for ((o, x), y) in out.iter_mut().zip(own).zip(d) {
+                *o = x + scale * y;
+            }
+        }
+        2 => {
+            let (d1, d2) = (defs.next().unwrap(), defs.next().unwrap());
+            for (((o, x), y), z) in out.iter_mut().zip(own).zip(d1).zip(d2) {
+                *o = x + scale * y + scale * z;
+            }
+        }
+        _ => {
+            out.copy_from_slice(own);
+            for d in defs {
+                axpy(out, scale, d);
+            }
+        }
+    }
+}
+
+/// `dst += src` for a row that already carries its weight.
+fn add(dst: &mut [f64], src: &[f64]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -388,6 +594,146 @@ bb3:
             "random unit vectors are near-orthogonal: {dot}"
         );
         assert_eq!(a, v.vector("opcode.add"), "cache returns identical vectors");
+    }
+
+    #[test]
+    fn token_rows_hold_the_weighted_vocabulary_vectors() {
+        use posetrl_ir::{BlockId, Const, FloatPred, FuncId, IntPred};
+        let e = Embedder::default();
+        let vocab = Vocabulary::new(DIM, EmbedConfig::default().seed);
+        let weighted = |w: f64, token: String| -> Vec<f64> {
+            vocab.vector(&token).iter().map(|x| w * x).collect()
+        };
+        let x = Value::Arg(0);
+        let mut ops: Vec<Op> = BinOp::ALL
+            .iter()
+            .map(|&op| Op::Bin {
+                op,
+                ty: Ty::I64,
+                lhs: x,
+                rhs: x,
+            })
+            .collect();
+        ops.extend(CASTS.iter().map(|&kind| Op::Cast {
+            kind,
+            to: Ty::I32,
+            val: x,
+        }));
+        ops.extend([
+            Op::Icmp {
+                pred: IntPred::Eq,
+                ty: Ty::I64,
+                lhs: x,
+                rhs: x,
+            },
+            Op::Fcmp {
+                pred: FloatPred::Oeq,
+                lhs: x,
+                rhs: x,
+            },
+            Op::Select {
+                ty: Ty::I64,
+                cond: x,
+                tval: x,
+                fval: x,
+            },
+            Op::Alloca {
+                ty: Ty::I64,
+                count: 1,
+            },
+            Op::Load {
+                ty: Ty::I64,
+                ptr: x,
+            },
+            Op::Store {
+                ty: Ty::I64,
+                val: x,
+                ptr: x,
+            },
+            Op::Gep {
+                elem_ty: Ty::I64,
+                ptr: x,
+                index: x,
+            },
+            Op::Call {
+                callee: FuncId(0),
+                args: vec![],
+                ret_ty: Ty::I64,
+            },
+            Op::Phi {
+                ty: Ty::I64,
+                incomings: vec![],
+            },
+            Op::MemCpy {
+                elem_ty: Ty::I64,
+                dst: x,
+                src: x,
+                len: x,
+            },
+            Op::MemSet {
+                elem_ty: Ty::I64,
+                dst: x,
+                val: x,
+                len: x,
+            },
+            Op::Br { target: BlockId(0) },
+            Op::CondBr {
+                cond: x,
+                then_bb: BlockId(0),
+                else_bb: BlockId(1),
+            },
+            Op::Ret { val: None },
+            Op::Unreachable,
+        ]);
+        let rows: std::collections::HashSet<usize> = ops.iter().map(opcode_row).collect();
+        assert_eq!(
+            rows.len(),
+            e.tokens.opcode.data.len() / DIM,
+            "one op per row"
+        );
+        for op in &ops {
+            let token = format!("opcode.{}", op.kind_name());
+            assert_eq!(
+                e.tokens.opcode.row(opcode_row(op)),
+                weighted(W_OPCODE, token.clone()),
+                "{token}"
+            );
+            let k = op.successors().len();
+            if k > 0 {
+                assert_eq!(
+                    e.tokens.succ.row(k - 1),
+                    weighted(W_OPERAND, format!("cfg.succ{k}"))
+                );
+            }
+        }
+        for &ty in &TYPES {
+            assert_eq!(
+                e.tokens.ty.row(ty as usize),
+                weighted(W_TYPE, format!("type.{ty}"))
+            );
+            for (mutable, tag) in [(false, "const"), (true, "mut")] {
+                assert_eq!(
+                    e.tokens.global.row(2 * ty as usize + usize::from(mutable)),
+                    weighted(W_GLOBAL, format!("global.{ty}.{tag}"))
+                );
+            }
+        }
+        let operands = [
+            Value::Inst(posetrl_ir::InstId(0)),
+            Value::Arg(0),
+            Value::Const(Const::Float(1.0)),
+            Value::Const(Const::Null),
+            Value::Const(Const::int(Ty::I8, 1)),
+            Value::Global(posetrl_ir::GlobalId(0)),
+            Value::Func(FuncId(0)),
+        ];
+        for (row, (v, token)) in operands.iter().zip(OPERAND_TOKENS).enumerate() {
+            assert_eq!(operand_row(*v), row);
+            assert_eq!(
+                e.tokens.operand.row(row),
+                weighted(W_OPERAND, token.to_string())
+            );
+        }
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! either proof of no-alias keeps a candidate alive, because each analysis
 //! is independently sound.
 
-use crate::util::{may_alias, pointer_root, PtrRoot};
+use crate::util::{escaping_allocas, may_alias, pointer_root, PtrRoot};
 use crate::Pass;
 use posetrl_analyze::ModuleAlias;
 use posetrl_ir::{FuncId, Function, InstId, Module, Op, Ty, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The `-dse` pass.
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,6 +101,8 @@ fn dse_forward_stores(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlia
 /// same block with no possible reader in between.
 fn dse_block_local(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlias) -> bool {
     let mut dead: Vec<InstId> = Vec::new();
+    // nothing below edits `f` before the removal at the end
+    let escaping = escaping_allocas(f);
     for b in f.block_ids().collect::<Vec<_>>() {
         // pending[ptr value] = earlier store awaiting a decision
         let mut pending: HashMap<Value, InstId> = HashMap::new();
@@ -141,7 +143,7 @@ fn dse_block_local(m: &Module, fid: FuncId, f: &mut Function, ma: &ModuleAlias) 
                     let refs = ma.call_refs(fid, f, id);
                     pending.retain(|p, _| {
                         if matches!(pointer_root(f, *p).0,
-                            PtrRoot::Alloca(a) if !crate::util::alloca_escapes(f, a))
+                            PtrRoot::Alloca(a) if !escaping.contains(&a))
                         {
                             return true;
                         }
@@ -194,43 +196,34 @@ fn dse_proven_dead(fid: FuncId, f: &mut Function, ma: &ModuleAlias) -> bool {
 fn dse_dead_slots(f: &mut Function) -> bool {
     // allocas that never escape and are never loaded from (directly or via
     // geps/memcpy): their stores are unobservable
-    let mut candidates: Vec<InstId> = Vec::new();
-    'next: for id in f.inst_ids() {
-        if !matches!(f.op(id), Op::Alloca { .. }) {
-            continue;
-        }
-        if crate::util::alloca_escapes(f, id) {
-            continue;
-        }
-        for user in f.inst_ids() {
-            match f.op(user) {
-                Op::Load { ptr, .. } if pointer_root(f, *ptr).0 == PtrRoot::Alloca(id) => {
-                    continue 'next;
-                }
-                Op::MemCpy { src, .. } if pointer_root(f, *src).0 == PtrRoot::Alloca(id) => {
-                    continue 'next;
-                }
-                _ => {}
+    let escaping = escaping_allocas(f);
+    let ids = f.inst_ids();
+    let root = |v: Value| match pointer_root(f, v).0 {
+        PtrRoot::Alloca(a) => Some(a),
+        _ => None,
+    };
+    let read: HashSet<InstId> = ids
+        .iter()
+        .filter_map(|&id| match f.op(id) {
+            Op::Load { ptr: p, .. } | Op::MemCpy { src: p, .. } => root(*p),
+            _ => None,
+        })
+        .collect();
+    let dead_slot = |a: InstId| !escaping.contains(&a) && !read.contains(&a);
+    let removed: Vec<InstId> = ids
+        .iter()
+        .copied()
+        .filter(|&id| match f.op(id) {
+            Op::Store { ptr: p, .. } | Op::MemSet { dst: p, .. } | Op::MemCpy { dst: p, .. } => {
+                root(*p).is_some_and(dead_slot)
             }
-        }
-        candidates.push(id);
+            _ => false,
+        })
+        .collect();
+    for &id in &removed {
+        f.remove_inst(id);
     }
-    let mut changed = false;
-    for alloca in candidates {
-        for user in f.inst_ids() {
-            let remove = match f.op(user) {
-                Op::Store { ptr, .. } => pointer_root(f, *ptr).0 == PtrRoot::Alloca(alloca),
-                Op::MemSet { dst, .. } => pointer_root(f, *dst).0 == PtrRoot::Alloca(alloca),
-                Op::MemCpy { dst, .. } => pointer_root(f, *dst).0 == PtrRoot::Alloca(alloca),
-                _ => false,
-            };
-            if remove {
-                f.remove_inst(user);
-                changed = true;
-            }
-        }
-    }
-    changed
+    !removed.is_empty()
 }
 
 #[cfg(test)]

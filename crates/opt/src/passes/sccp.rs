@@ -7,7 +7,7 @@
 //! internal call boundaries (arguments passed identically at every call
 //! site, and constant return values).
 
-use crate::util::{remove_unreachable_blocks, simplify_trivial_phis};
+use crate::util::{pure_callees, removable_with, remove_unreachable_blocks, simplify_trivial_phis};
 use crate::Pass;
 use posetrl_ir::{BlockId, Const, FuncId, Function, InstId, Linkage, Module, Op, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -44,9 +44,9 @@ impl Pass for Sccp {
 
     fn run(&self, module: &mut Module) -> bool {
         let mut changed = false;
-        let snapshot = module.clone();
+        let pure = pure_callees(module);
         module.for_each_body(|_, f| {
-            changed |= sccp_function(&snapshot, f, &HashMap::new());
+            changed |= sccp_function(&pure, f, &HashMap::new());
         });
         changed
     }
@@ -63,6 +63,8 @@ impl Pass for IpSccp {
 
     fn run(&self, module: &mut Module) -> bool {
         let mut changed = false;
+        // nothing below changes a declaration or an attribute
+        let pure = pure_callees(module);
         // Interprocedural seeding: for internal functions whose address is
         // never taken, compute per-parameter meets over all call sites and
         // per-function constant returns, then specialize.
@@ -156,12 +158,14 @@ impl Pass for IpSccp {
                 }
                 // replace calls with known-constant returns (keep the call
                 // for its side effects; DCE cleans up pure ones)
-                let snapshot = module.clone();
                 let f = module.func_mut(fid).unwrap();
+                // rewriting a call's uses leaves every other call's users as
+                // they were, so one use map serves the whole loop
+                let mut uses = None;
                 for id in f.inst_ids() {
                     if let Op::Call { callee, .. } = f.op(id) {
                         if let Some(&c) = const_ret.get(callee) {
-                            let uses = f.uses();
+                            let uses = uses.get_or_insert_with(|| f.uses());
                             if uses.get(&id).map(|u| !u.is_empty()).unwrap_or(false) {
                                 f.replace_all_uses(Value::Inst(id), Value::Const(c));
                                 round_changed = true;
@@ -169,7 +173,7 @@ impl Pass for IpSccp {
                         }
                     }
                 }
-                round_changed |= sccp_function(&snapshot, f, &args);
+                round_changed |= sccp_function(&pure, f, &args);
             }
             changed |= round_changed;
             if !round_changed {
@@ -182,20 +186,29 @@ impl Pass for IpSccp {
 
 /// Runs the SCCP analysis + rewrite on one function. `arg_consts` seeds
 /// known-constant parameters (used by `ipsccp`).
-fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>) -> bool {
-    let mut value: HashMap<InstId, Lattice> = HashMap::new();
-    let mut exec_blocks: HashSet<BlockId> = HashSet::new();
+fn sccp_function(
+    pure: &HashSet<FuncId>,
+    f: &mut Function,
+    arg_consts: &HashMap<u32, Const>,
+) -> bool {
+    let ids = f.inst_ids();
+    // the analysis state is dense over arena indices; operands naming no
+    // instruction of `f` read as unknown
+    let slots = ids.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+    let nblocks = f.block_ids().map(|b| b.index() + 1).max().unwrap_or(0);
+    let mut value: Vec<Lattice> = vec![Lattice::Unknown; slots];
+    let mut exec_blocks: Vec<bool> = vec![false; nblocks];
     let mut exec_edges: HashSet<(BlockId, BlockId)> = HashSet::new();
     let mut flow: VecDeque<BlockId> = VecDeque::new();
     let mut ssa: VecDeque<InstId> = VecDeque::new();
 
-    let uses = f.uses();
+    let uses = Users::new(f, &ids, slots);
 
-    let lattice_of = |v: Value, value: &HashMap<InstId, Lattice>| -> Lattice {
+    let lattice_of = |v: Value, value: &[Lattice]| -> Lattice {
         match v {
             Value::Const(c) if !c.is_undef() => Lattice::Const(c),
             Value::Const(_) => Lattice::Over,
-            Value::Inst(id) => value.get(&id).copied().unwrap_or(Lattice::Unknown),
+            Value::Inst(id) => value.get(id.index()).copied().unwrap_or(Lattice::Unknown),
             Value::Arg(i) => match arg_consts.get(&i) {
                 Some(&c) => Lattice::Const(c),
                 None => Lattice::Over,
@@ -205,11 +218,11 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
     };
 
     flow.push_back(f.entry);
-    exec_blocks.insert(f.entry);
+    exec_blocks[f.entry.index()] = true;
 
     let eval_inst = |id: InstId,
                      f: &Function,
-                     value: &HashMap<InstId, Lattice>,
+                     value: &[Lattice],
                      exec_edges: &HashSet<(BlockId, BlockId)>|
      -> Lattice {
         let op = f.op(id);
@@ -226,30 +239,27 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
             }
             Op::Load { .. } | Op::Call { .. } | Op::Alloca { .. } | Op::Gep { .. } => Lattice::Over,
             op if op.result_ty() != posetrl_ir::Ty::Void => {
-                // operands all constant -> fold with interpreter semantics
-                let operands = op.operands();
-                let mut lat = Vec::with_capacity(operands.len());
-                for v in &operands {
-                    lat.push(lattice_of(*v, value));
-                }
-                if lat.iter().any(|l| matches!(l, Lattice::Over)) {
-                    return Lattice::Over;
-                }
-                if lat.iter().any(|l| matches!(l, Lattice::Unknown)) {
-                    return Lattice::Unknown;
-                }
-                // substitute and fold on a scratch clone
+                // operands all constant -> substitute and fold on a scratch
+                // clone with interpreter semantics
+                let (mut over, mut unknown) = (false, false);
                 let mut scratch = op.clone();
-                let mut idx = 0usize;
-                scratch.map_operands(|_| {
-                    let l = lat[idx];
-                    idx += 1;
-                    match l {
-                        Lattice::Const(c) => Value::Const(c),
-                        _ => unreachable!("checked above"),
+                scratch.map_operands(|v| match lattice_of(v, value) {
+                    Lattice::Const(c) => Value::Const(c),
+                    Lattice::Over => {
+                        over = true;
+                        v
+                    }
+                    Lattice::Unknown => {
+                        unknown = true;
+                        v
                     }
                 });
-                // fold via a temporary single-inst view
+                if over {
+                    return Lattice::Over;
+                }
+                if unknown {
+                    return Lattice::Unknown;
+                }
                 match fold_scratch(&scratch) {
                     Some(c) => Lattice::Const(c),
                     None => Lattice::Over,
@@ -272,7 +282,7 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
         }
         if let Some(id) = ssa.pop_front() {
             let b = f.inst(id).unwrap().block;
-            if !exec_blocks.contains(&b) {
+            if !exec_blocks[b.index()] {
                 continue;
             }
             let op = f.op(id);
@@ -298,7 +308,7 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
                 };
                 for s in succs {
                     let new_edge = exec_edges.insert((b, s));
-                    let new_block = exec_blocks.insert(s);
+                    let new_block = !std::mem::replace(&mut exec_blocks[s.index()], true);
                     if new_block {
                         flow.push_back(s);
                     } else if new_edge {
@@ -316,17 +326,15 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
                 continue;
             }
             let new = eval_inst(id, f, &value, &exec_edges);
-            let old = value.get(&id).copied().unwrap_or(Lattice::Unknown);
+            let old = value[id.index()];
             let merged = old.meet(new);
             if merged != old {
-                value.insert(id, merged);
-                for u in uses.get(&id).map(|v| v.as_slice()).unwrap_or(&[]) {
-                    ssa.push_back(*u);
-                }
+                value[id.index()] = merged;
+                ssa.extend(uses.of(id));
                 // condbr users need re-evaluation too
-                for u in uses.get(&id).map(|v| v.as_slice()).unwrap_or(&[]) {
-                    if f.op(*u).is_terminator() {
-                        ssa.push_back(*u);
+                for &u in uses.of(id) {
+                    if f.op(u).is_terminator() {
+                        ssa.push_back(u);
                     }
                 }
             }
@@ -335,15 +343,23 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
 
     // Rewrite: constants, then constant branches, then unreachable code.
     let mut changed = false;
-    for (id, l) in &value {
-        if let Lattice::Const(c) = l {
-            if f.inst(*id).is_some() {
-                f.replace_all_uses(Value::Inst(*id), Value::Const(*c));
-                if crate::util::is_removable(m, f, *id) {
-                    f.remove_inst(*id);
-                }
-                changed = true;
+    let is_const = |id: &InstId| matches!(value[id.index()], Lattice::Const(_));
+    if ids.iter().any(is_const) {
+        // every use of every constant at once (the arena holds exactly `ids`)
+        for &id in &ids {
+            f.inst_mut(id).unwrap().op.map_operands(|v| match v {
+                Value::Inst(d) => match value.get(d.index()) {
+                    Some(&Lattice::Const(c)) => Value::Const(c),
+                    _ => v,
+                },
+                _ => v,
+            });
+        }
+        for &id in ids.iter().filter(|id| is_const(id)) {
+            if removable_with(f, id, |c| pure.contains(&c)) {
+                f.remove_inst(id);
             }
+            changed = true;
         }
     }
     for b in f.block_ids().collect::<Vec<_>>() {
@@ -373,6 +389,46 @@ fn sccp_function(m: &Module, f: &mut Function, arg_consts: &HashMap<u32, Const>)
     changed |= remove_unreachable_blocks(f);
     changed |= simplify_trivial_phis(f);
     changed
+}
+
+/// The users of every instruction, in [`Function::uses`] order, packed
+/// into one buffer indexed by arena slot.
+struct Users {
+    /// `users[start[d]..start[d + 1]]` read instruction slot `d`.
+    start: Vec<usize>,
+    users: Vec<InstId>,
+}
+
+impl Users {
+    fn new(f: &Function, ids: &[InstId], slots: usize) -> Users {
+        let mut edges: Vec<(usize, InstId)> = Vec::new();
+        for &id in ids {
+            for v in f.op(id).operands() {
+                match v {
+                    Value::Inst(d) if d.index() < slots => edges.push((d.index(), id)),
+                    _ => {}
+                }
+            }
+        }
+        let mut start = vec![0usize; slots + 1];
+        for &(d, _) in &edges {
+            start[d + 1] += 1;
+        }
+        for d in 0..slots {
+            start[d + 1] += start[d];
+        }
+        let mut fill = start.clone();
+        let mut users = vec![InstId(0); edges.len()];
+        for (d, u) in edges {
+            users[fill[d]] = u;
+            fill[d] += 1;
+        }
+        Users { start, users }
+    }
+
+    fn of(&self, id: InstId) -> &[InstId] {
+        &self.users[self.start[id.index()]..self.start[id.index() + 1]]
+    }
 }
 
 /// Folds an operation whose operands are all constants (scratch copy, not

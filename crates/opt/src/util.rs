@@ -1,6 +1,5 @@
 //! Shared helpers used by many passes.
 
-use posetrl_ir::analysis::Cfg;
 use posetrl_ir::interp::{eval_bin, RtVal};
 use posetrl_ir::{BlockId, Const, FuncId, Function, GlobalId, InstId, Module, Op, Ty, Value};
 use std::collections::{HashMap, HashSet};
@@ -56,48 +55,28 @@ pub fn may_alias(f: &Function, a: Value, b: Value) -> bool {
     }
 }
 
-/// Returns `true` if the address of alloca `id` escapes the function (is
-/// stored somewhere, passed to a call, or otherwise leaves load/store/gep
-/// position).
-pub fn alloca_escapes(f: &Function, id: InstId) -> bool {
-    // Track the alloca and every gep derived from it.
-    let mut derived: HashSet<Value> = HashSet::from([Value::Inst(id)]);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for iid in f.inst_ids() {
-            if let Op::Gep { ptr, .. } = f.op(iid) {
-                if derived.contains(ptr) && derived.insert(Value::Inst(iid)) {
-                    changed = true;
-                }
-            }
+/// The allocas whose address escapes the function: stored somewhere as a
+/// value, passed to a call, or used by any op other than load, gep, memcpy
+/// and memset. An address derived through geps counts as its root's.
+///
+/// One scan over the instructions; each operand is mapped to its root with
+/// [`pointer_root`].
+pub fn escaping_allocas(f: &Function) -> HashSet<InstId> {
+    let mut out = HashSet::new();
+    let mut note = |v: Value| {
+        if let PtrRoot::Alloca(a) = pointer_root(f, v).0 {
+            out.insert(a);
         }
-    }
+    };
     for iid in f.inst_ids() {
         match f.op(iid) {
-            Op::Load { .. } | Op::Gep { .. } => {}
-            Op::Store { val, ptr, .. } => {
-                // storing the pointer itself escapes; storing *to* it is fine
-                if derived.contains(val) && !derived.contains(ptr) {
-                    return true;
-                }
-                if derived.contains(val) && derived.contains(ptr) {
-                    return true;
-                }
-            }
-            Op::MemCpy { .. } | Op::MemSet { .. } => {
-                // element-wise ops through the pointer do not leak the address
-            }
-            op => {
-                for v in op.operands() {
-                    if derived.contains(&v) {
-                        return true;
-                    }
-                }
-            }
+            Op::Load { .. } | Op::Gep { .. } | Op::MemCpy { .. } | Op::MemSet { .. } => {}
+            // storing *to* the address is fine; storing the address leaks it
+            Op::Store { val, .. } => note(*val),
+            op => op.operands().into_iter().for_each(&mut note),
         }
     }
-    false
+    out
 }
 
 /// Returns `true` if calls to `callee` are pure expressions (removable when
@@ -119,10 +98,23 @@ pub fn call_is_readonly(m: &Module, callee: FuncId) -> bool {
 /// Returns `true` if instruction `id` can be deleted when its result is
 /// unused (refines [`Op::is_pure`] with call attributes).
 pub fn is_removable(m: &Module, f: &Function, id: InstId) -> bool {
+    removable_with(f, id, |callee| call_is_pure(m, callee))
+}
+
+/// [`is_removable`] with call purity answered by `pure_call`, for passes
+/// that edit function bodies while they hold a [`pure_callees`] set.
+pub fn removable_with(f: &Function, id: InstId, pure_call: impl Fn(FuncId) -> bool) -> bool {
     match f.op(id) {
-        Op::Call { callee, .. } => call_is_pure(m, *callee),
+        Op::Call { callee, .. } => pure_call(*callee),
         op => op.is_pure() && !op.is_terminator(),
     }
+}
+
+/// The functions whose calls are pure expressions ([`call_is_pure`]).
+/// Purity reads only declarations and attributes, so the set stays valid
+/// while a pass edits function bodies.
+pub fn pure_callees(m: &Module) -> HashSet<FuncId> {
+    m.func_ids().filter(|&c| call_is_pure(m, c)).collect()
 }
 
 /// Converts a constant to the interpreter value used for compile-time folding.
@@ -205,11 +197,25 @@ pub fn dce_sweep(m: &Module, f: &mut Function) -> bool {
     }
 }
 
+/// The blocks reachable from the entry: the set
+/// `Cfg::compute(f).reachable()` returns, without building the CFG maps.
+pub fn reachable_blocks(f: &Function) -> HashSet<BlockId> {
+    let mut seen = HashSet::from([f.entry]);
+    let mut stack = vec![f.entry];
+    while let Some(b) = stack.pop() {
+        for s in f.successors(b) {
+            if seen.insert(s) {
+                stack.push(s);
+            }
+        }
+    }
+    seen
+}
+
 /// Removes blocks unreachable from the entry, fixing up phi nodes in the
 /// remaining blocks. Returns `true` if anything was removed.
 pub fn remove_unreachable_blocks(f: &mut Function) -> bool {
-    let cfg = Cfg::compute(f);
-    let reachable = cfg.reachable();
+    let reachable = reachable_blocks(f);
     let dead: Vec<BlockId> = f.block_ids().filter(|b| !reachable.contains(b)).collect();
     if dead.is_empty() {
         return false;
@@ -475,8 +481,7 @@ bb0:
         .unwrap();
         let f = m.func(m.func_by_name("f").unwrap()).unwrap();
         let ids = f.inst_ids();
-        assert!(!alloca_escapes(f, ids[0]));
-        assert!(alloca_escapes(f, ids[1]));
+        assert_eq!(escaping_allocas(f), HashSet::from([ids[1]]));
     }
 
     #[test]
