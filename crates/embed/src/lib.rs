@@ -225,7 +225,7 @@ fn operand_row(v: Value) -> usize {
 }
 
 /// Rows of `dim` floats, one per token, each pre-scaled by its entity
-/// weight (`w * x` rounds exactly as the weighted accumulation always did).
+/// weight (a stored `w * x` has the bits `w * x` has at each use).
 #[derive(Debug)]
 struct Table {
     dim: usize,
@@ -233,14 +233,10 @@ struct Table {
 }
 
 impl Table {
-    fn new<'a>(
-        vocab: &Vocabulary,
-        weight: f64,
-        tokens: impl IntoIterator<Item = &'a str>,
-    ) -> Table {
+    fn new(vocab: &Vocabulary, weight: f64, tokens: impl IntoIterator<Item: AsRef<str>>) -> Table {
         let mut data = Vec::new();
         for token in tokens {
-            data.extend(vocab.vector(token).iter().map(|x| weight * x));
+            data.extend(vocab.vector(token.as_ref()).iter().map(|x| weight * x));
         }
         Table {
             dim: vocab.dim,
@@ -268,25 +264,25 @@ struct Tokens {
 
 impl Tokens {
     fn new(vocab: &Vocabulary) -> Tokens {
-        let opcodes: Vec<String> = BinOp::ALL
+        let opcodes = BinOp::ALL
             .iter()
             .map(|b| b.mnemonic())
             .chain(CASTS.iter().map(|c| c.mnemonic()))
             .chain(OTHER_OPCODES)
-            .map(|name| format!("opcode.{name}"))
-            .collect();
-        let types: Vec<String> = TYPES.iter().map(|t| format!("type.{t}")).collect();
-        let succs: Vec<String> = (1..=MAX_SUCCS).map(|k| format!("cfg.succ{k}")).collect();
-        let globals: Vec<String> = TYPES
+            .map(|name| format!("opcode.{name}"));
+        let globals = TYPES
             .iter()
-            .flat_map(|t| [format!("global.{t}.const"), format!("global.{t}.mut")])
-            .collect();
+            .flat_map(|t| [format!("global.{t}.const"), format!("global.{t}.mut")]);
         Tokens {
-            opcode: Table::new(vocab, W_OPCODE, opcodes.iter().map(String::as_str)),
-            ty: Table::new(vocab, W_TYPE, types.iter().map(String::as_str)),
+            opcode: Table::new(vocab, W_OPCODE, opcodes),
+            ty: Table::new(vocab, W_TYPE, TYPES.iter().map(|t| format!("type.{t}"))),
             operand: Table::new(vocab, W_OPERAND, OPERAND_TOKENS),
-            succ: Table::new(vocab, W_OPERAND, succs.iter().map(String::as_str)),
-            global: Table::new(vocab, W_GLOBAL, globals.iter().map(String::as_str)),
+            succ: Table::new(
+                vocab,
+                W_OPERAND,
+                (1..=MAX_SUCCS).map(|k| format!("cfg.succ{k}")),
+            ),
+            global: Table::new(vocab, W_GLOBAL, globals),
         }
     }
 }
