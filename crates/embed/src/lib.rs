@@ -352,14 +352,16 @@ impl Embedder {
             row_of[id.index()] = i as u32;
         }
         let t = &self.tokens;
-        // symbolic rows; an instruction whose tokens repeat an earlier
-        // one's copies that row, since the same adds give the same bits
-        let mut cur: Vec<f64> = Vec::with_capacity(n * dim);
-        let mut first_row: HashMap<u64, usize> = HashMap::new();
+        // symbolic rows, one per distinct token sequence: instructions
+        // with the same tokens share a row, since the same adds give the
+        // same bits; sym_of[i] is instruction i's row
+        let mut sym: Vec<f64> = Vec::new();
+        let mut sym_of: Vec<usize> = Vec::with_capacity(n);
+        let mut row_of_key: HashMap<u64, usize> = HashMap::new();
         // defs[def_end[i - 1]..def_end[i]] are the rows instruction i reads
         let mut defs: Vec<u32> = Vec::new();
         let mut def_end: Vec<usize> = Vec::with_capacity(n);
-        for (i, &id) in ids.iter().enumerate() {
+        for &id in &ids {
             let op = f.op(id);
             let operands = op.operands();
             for o in &operands {
@@ -373,12 +375,13 @@ impl Embedder {
             def_end.push(defs.len());
             let nsucc = op.successors().len();
             let key = token_key(op, &operands, nsucc);
-            if let Some(&r) = key.and_then(|k| first_row.get(&k)) {
-                cur.extend_from_within(r * dim..(r + 1) * dim);
+            if let Some(&r) = key.and_then(|k| row_of_key.get(&k)) {
+                sym_of.push(r);
                 continue;
             }
-            cur.resize((i + 1) * dim, 0.0);
-            let out = &mut cur[i * dim..];
+            let r = sym.len() / dim;
+            sym.resize(sym.len() + dim, 0.0);
+            let out = &mut sym[r * dim..];
             add(out, t.opcode.row(opcode_row(op)));
             add(out, t.ty.row(op.result_ty() as usize));
             for &o in &operands {
@@ -389,41 +392,52 @@ impl Embedder {
                 add(out, t.succ.row(nsucc - 1));
             }
             if let Some(k) = key {
-                first_row.insert(k, i);
+                row_of_key.insert(k, r);
             }
+            sym_of.push(r);
         }
-        // flow iterations; the last one adds each row into `v` as it is
-        // made, in instruction order, instead of storing it
         let iters = self.config.flow_iters;
-        let mut next = vec![0.0; if iters > 1 { n * dim } else { 0 }];
+        if iters == 0 {
+            for &r in &sym_of {
+                axpy(&mut v, 1.0, &sym[r * dim..(r + 1) * dim]);
+            }
+            return v;
+        }
+        // flow iterations over flat row buffers; the last one adds each
+        // row into `v` as it is made, in instruction order, instead of
+        // storing it
+        let mut prev: Vec<f64> = Vec::new();
+        let mut next: Vec<f64> = Vec::new();
         let mut last = vec![0.0; dim];
         for iter in 0..iters {
+            let is_last = iter + 1 == iters;
+            if !is_last {
+                next.resize(n * dim, 0.0);
+            }
+            let row = |i: usize| match iter {
+                0 => &sym[sym_of[i] * dim..(sym_of[i] + 1) * dim],
+                _ => &prev[i * dim..(i + 1) * dim],
+            };
             let mut start = 0;
             for (i, &end) in def_end.iter().enumerate() {
-                let out = if iter + 1 == iters {
+                let out = if is_last {
                     &mut last[..]
                 } else {
                     &mut next[i * dim..(i + 1) * dim]
                 };
                 let scale = self.config.flow_beta / (end - start).max(1) as f64;
-                let row = |d: u32| &cur[d as usize * dim..(d as usize + 1) * dim];
                 flow_row(
                     out,
-                    row(i as u32),
+                    row(i),
                     scale,
-                    defs[start..end].iter().map(|&d| row(d)),
+                    defs[start..end].iter().map(|&d| row(d as usize)),
                 );
-                if iter + 1 == iters {
+                if is_last {
                     axpy(&mut v, 1.0, out);
                 }
                 start = end;
             }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        if iters == 0 {
-            for row in cur.chunks_exact(dim) {
-                axpy(&mut v, 1.0, row);
-            }
+            std::mem::swap(&mut prev, &mut next);
         }
         v
     }
