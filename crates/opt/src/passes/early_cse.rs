@@ -7,7 +7,7 @@
 //! block-local store-to-load and load-to-load forwarding with conservative
 //! alias invalidation.
 
-use crate::util::{call_is_pure, may_alias};
+use crate::util::{call_is_pure, may_alias, may_alias_range};
 use crate::Pass;
 use posetrl_analyze::ModuleAlias;
 use posetrl_ir::analysis::{Cfg, DomTree};
@@ -134,7 +134,11 @@ pub(crate) fn cse_function(
                         avail_loads.insert((ptr, ty), val);
                     }
                     Op::MemCpy { dst, .. } | Op::MemSet { dst, .. } => {
-                        avail_loads.retain(|(p, _), _| !write_clobbers(f, *p, dst));
+                        // the write covers a range, not just the cell at `dst`
+                        avail_loads.retain(|(p, _), _| {
+                            !(may_alias_range(f, *p, dst)
+                                && alias.is_none_or(|(ma, fid)| ma.may_alias(fid, f, *p, dst)))
+                        });
                     }
                     Op::Call { callee, .. } if !crate::util::call_is_readonly(m, callee) => {
                         // keep cells the callee's substituted mod set cannot

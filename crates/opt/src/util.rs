@@ -55,6 +55,16 @@ pub fn may_alias(f: &Function, a: Value, b: Value) -> bool {
     }
 }
 
+/// Conservative may-alias test between the cell at `p` and the range a
+/// `memcpy`/`memset` writes from `start`: the range covers other offsets
+/// of its root, so only distinct roots separate the two.
+pub fn may_alias_range(f: &Function, p: Value, start: Value) -> bool {
+    match (pointer_root(f, p).0, pointer_root(f, start).0) {
+        (PtrRoot::Unknown, _) | (_, PtrRoot::Unknown) => true,
+        (x, y) => x == y,
+    }
+}
+
 /// The allocas whose address escapes the function: stored somewhere as a
 /// value, passed to a call, or used by any op other than load, gep, memcpy
 /// and memset. An address derived through geps counts as its root's.

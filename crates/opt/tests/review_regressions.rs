@@ -124,3 +124,50 @@ bb3:
         assert_eq!(before, run_main(&m, &[]), "-{pass} respects i8 wrap-around");
     }
 }
+
+#[test]
+fn memory_cse_treats_memcpy_and_memset_as_range_writes() {
+    // Reduced from a training-run evaluation module (perfbench train,
+    // seed 402) that gvn miscompiled: the store to @a[6] was forwarded
+    // to the reload across a memcpy that overwrites @a[0..8], because the
+    // block-local availability table compared the memcpy's start offset
+    // (0) with the cell's (6) as if the memcpy wrote one cell. The memset
+    // case is the same flaw on an available load.
+    let cases = [
+        r#"
+module "m"
+global @a : i64 x 8 mutable internal = [1:i64, 2:i64, 3:i64, 4:i64, 5:i64, 6:i64, 7:i64, 8:i64]
+global @b : i64 x 8 mutable internal = [10:i64, 20:i64, 30:i64, 40:i64, 50:i64, 60:i64, 70:i64, 80:i64]
+fn @main() -> i64 internal {
+bb0:
+  %p = gep i64, @a, 6:i64
+  store i64 99:i64, %p
+  memcpy i64 @a, @b, 8:i64
+  %v = load i64, %p
+  ret %v
+}
+"#,
+        r#"
+module "m"
+global @a : i64 x 8 mutable internal = [1:i64, 2:i64, 3:i64, 4:i64, 5:i64, 6:i64, 7:i64, 8:i64]
+fn @main() -> i64 internal {
+bb0:
+  %p = gep i64, @a, 6:i64
+  %u = load i64, %p
+  memset i64 @a, 5:i64, 8:i64
+  %v = load i64, %p
+  %r = add i64 %u, %v
+  ret %r
+}
+"#,
+    ];
+    for text in cases {
+        let m0 = parse_module(text).unwrap();
+        let before = run_main(&m0, &[]);
+        for pass in ["gvn", "early-cse-memssa"] {
+            let mut m = m0.clone();
+            PassManager::new().run_pass(&mut m, pass).unwrap();
+            assert_eq!(before, run_main(&m, &[]), "{pass} on\n{text}");
+        }
+    }
+}
